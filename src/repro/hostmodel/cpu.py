@@ -294,8 +294,10 @@ class _Burst:
             if key not in accounting._birth:
                 # Back-date to the boundary the reference charged it at:
                 # readers fold in birth order, so a late batched insert
-                # must not reorder the float sum (see _fold_order).
-                accounting._note_birth(key, end)
+                # must not reorder the float sum (see _fold_order).  Ties
+                # on ``end`` go by the reference timer's mint order: minted
+                # at the interval start, in dispatch (arm) order.
+                accounting._note_birth(key, end, (t, self.arm_seq))
             busy[key] += self.switch_seconds
             t = end
             self.switch_done = True
@@ -319,7 +321,7 @@ class _Burst:
                         and observer_sched < t):
                     break
                 if not changed and key not in accounting._birth:
-                    accounting._note_birth(key, end)
+                    accounting._note_birth(key, end, (t, self.arm_seq))
                 total += duration
                 t = end
                 rem = rem - burst
@@ -528,7 +530,7 @@ class _Epoch:
         while i < upto:
             end, start, key, duration = records[i][:4]
             if key not in birth:
-                accounting._note_birth(key, end)
+                accounting._note_birth(key, end, (start,))
             busy[key] += duration
             i += 1
         _EPOCH_STATS["epoch_records"] += i - member.applied

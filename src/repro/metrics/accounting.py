@@ -51,8 +51,9 @@ class CpuAccounting:
     def __init__(self) -> None:
         self._busy: Dict[Tuple[str, str], float] = defaultdict(float)
         self._settle_hooks: list = []
-        # (first-charge time, tie-break seq) per key; see _fold_order.
-        self._birth: Dict[Tuple[str, str], Tuple[float, int]] = {}
+        # (first-charge time, mint order, arrival seq) per key; see
+        # _fold_order.
+        self._birth: Dict[Tuple[str, str], Tuple[float, tuple, int]] = {}
         self._birth_seq = 0
         self._clock: Optional[Callable[[], float]] = None
 
@@ -89,20 +90,29 @@ class CpuAccounting:
                              else 0.0)
         self._busy[key] += seconds
 
-    def _note_birth(self, key: Tuple[str, str], when: float) -> None:
-        self._birth[key] = (when, self._birth_seq)
+    def _note_birth(self, key: Tuple[str, str], when: float,
+                    order: tuple = ()) -> None:
+        """Record ``key``'s first charge at ``when``.
+
+        Keys first charged at the same instant fold by ``order``, then by
+        arrival.  The coalesced fast path records births after the fact,
+        so it passes the mint order of the reference timer that would have
+        made the charge; direct charges arrive in that order already.
+        """
+        self._birth[key] = (when, order, self._birth_seq)
         self._birth_seq += 1
 
     def _fold_order(self):
         """``_busy`` items ordered by each key's first charge.
 
         Float sums are order-sensitive, so every reader folds in a defined
-        order: the (time, arrival) at which each key was first charged.
-        For the per-slice reference this *is* dict insertion order; the
-        coalesced fast path charges a whole burst at its wake-up but
-        back-dates each key's birth to the boundary the reference would
-        have first charged it at, so both paths fold — and therefore
-        round — identically.
+        order: the (time, mint order, arrival) at which each key was first
+        charged.  For the per-slice reference this *is* dict insertion
+        order; the coalesced fast path charges a whole burst at its
+        wake-up but back-dates each key's birth to the boundary the
+        reference would have first charged it at, tie-broken by the mint
+        order of that boundary's timer, so both paths fold — and
+        therefore round — identically.
         """
         birth = self._birth
         return sorted(self._busy.items(), key=lambda item: birth[item[0]])

@@ -204,7 +204,7 @@ class PatternSource(ByteSource):
     #: Per-process cache budget for shared materialized content.
     _CACHE_BUDGET = 256 << 20
 
-    _cache: "dict" = {}          # (seed, size) -> bytes, insertion-ordered
+    _cache: "dict" = {}          # (seed, size) -> memoryview, insertion-ordered
     _cache_bytes = 0
 
     def __init__(self, size: int, seed: int = 0):
@@ -216,8 +216,8 @@ class PatternSource(ByteSource):
     def _block(self, index: int) -> bytes:
         return hashlib.sha256(self._prefix + b"%d" % index).digest()
 
-    def _materialize(self) -> bytes:
-        """Full content as one shared bytes object (synthesized once)."""
+    def _materialize(self) -> memoryview:
+        """Full content as one shared read-only view (synthesized once)."""
         data = self._data
         if data is not None:
             return data
@@ -225,9 +225,14 @@ class PatternSource(ByteSource):
         key = (self.seed, self.size)
         data = cls._cache.get(key)
         if data is None:
+            # Synthesize straight into the one buffer a chunk at a time (no
+            # per-block digest list for the whole source), then publish it
+            # through a read-only view instead of copying it into bytes.
             buf = bytearray(self.size)
-            self._synthesize(0, memoryview(buf))
-            data = bytes(buf)
+            view = memoryview(buf)
+            for start in range(0, self.size, _CHUNK):
+                self._synthesize(start, view[start:start + _CHUNK])
+            data = view.toreadonly()
             cls._cache[key] = data
             cls._cache_bytes += len(data)
             while cls._cache_bytes > cls._CACHE_BUDGET and len(cls._cache) > 1:
@@ -256,7 +261,7 @@ class PatternSource(ByteSource):
         if n == 0:
             return 0
         if not _legacy_buffers and self.size <= self._MATERIALIZE_CAP:
-            view[:n] = memoryview(self._materialize())[offset:offset + n]
+            view[:n] = self._materialize()[offset:offset + n]
             return n
         return self._synthesize(offset, view[:n])
 

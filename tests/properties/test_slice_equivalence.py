@@ -128,6 +128,14 @@ def _run_scenario(legacy, cores, n_threads, bursts, probe_times_us,
 @example(cores=1, n_threads=1,
          bursts=[(0, 0, 548001, "work"), (0, 0, 200000, "work")],
          probe_times_us=[382], interrupts=[(0, 278)], freq_change_us=None)
+# Regression: two bursts dispatched at the same instant on two cores are
+# first charged at the same boundary.  The one whose wake comes first must
+# not be born first in the accounting: births tie-break by the reference
+# timers' mint order (dispatch order), not by when the fast path commits.
+@example(cores=2, n_threads=2,
+         bursts=[(0, 0, 1999, "io"), (0, 89, 318001, "work"),
+                 (1, 89, 316214, "work")],
+         probe_times_us=[252], interrupts=[], freq_change_us=None)
 @settings(max_examples=40, deadline=None)
 def test_fast_path_equivalent_to_slice_loop(cores, n_threads, bursts,
                                             probe_times_us, interrupts,

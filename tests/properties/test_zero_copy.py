@@ -153,7 +153,7 @@ def test_inode_range_source_window_reads(case):
 
 # --------------------------------------------------------------- page cache
 class _ReferenceLru:
-    """The pre-optimization PageCache accounting, kept as an oracle."""
+    """The page-exact LRU PageCache accounting, kept as an oracle."""
 
     def __init__(self, capacity_pages):
         from collections import OrderedDict
@@ -183,31 +183,56 @@ class _ReferenceLru:
                     self.pages.popitem(last=False)
                     self.evictions += 1
 
+    def contains(self, key, offset, length):
+        return all((key, page) in self.pages
+                   for page in PageCache.page_span(offset, length))
+
+    def invalidate(self, key):
+        stale = [entry for entry in self.pages if entry[0] == key]
+        for entry in stale:
+            del self.pages[entry]
+        return len(stale)
+
+    def drop(self):
+        self.pages.clear()
+
+
+#: Span edges around pages 0-16: spans abut, overlap, nest inside and
+#: bridge several existing runs of the unbounded cache's representation.
+_CACHE_OFFSETS = st.one_of(
+    st.integers(min_value=0, max_value=16).map(lambda page: page * PAGE_SIZE),
+    st.integers(min_value=0, max_value=16 * PAGE_SIZE))
+_CACHE_LENGTHS = st.one_of(
+    st.integers(min_value=0, max_value=8).map(lambda pages: pages * PAGE_SIZE),
+    st.integers(min_value=1, max_value=8 * PAGE_SIZE))
+
 
 @st.composite
 def cache_workload(draw):
     capacity_pages = draw(st.sampled_from([1, 2, 3, 8, float("inf")]))
-    n_ops = draw(st.integers(min_value=1, max_value=30))
+    n_ops = draw(st.integers(min_value=1, max_value=40))
     ops = []
     for _ in range(n_ops):
         ops.append((
-            draw(st.sampled_from(["miss_then_insert", "probe"])),
-            draw(st.sampled_from(["a", "b"])),
-            draw(st.sampled_from(
-                [0, 1, PAGE_SIZE - 1, PAGE_SIZE, 3 * PAGE_SIZE])),
-            draw(st.sampled_from([1, PAGE_SIZE, 2 * PAGE_SIZE + 5])),
+            draw(st.sampled_from(["miss_then_insert", "insert", "probe",
+                                  "contains", "invalidate", "drop"])),
+            draw(st.sampled_from(["a", "b", "c"])),
+            draw(_CACHE_OFFSETS),
+            draw(_CACHE_LENGTHS),
         ))
     return capacity_pages, ops
 
 
 @given(workload=cache_workload())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_pagecache_accounting_matches_reference_lru(workload):
-    """The split bounded/unbounded fast paths keep exact LRU semantics.
+    """Both residency representations match the page-exact LRU oracle.
 
     Capacities of a few pages force evictions right at the LRU boundary —
     the regime where a recency-bookkeeping bug changes which page gets
-    evicted and therefore every later hit/miss count.
+    evicted and therefore every later hit/miss count.  Unbounded caches
+    keep page runs instead of pages; spans that abut, overlap, nest and
+    bridge runs exercise every merge case.
     """
     capacity_pages, ops = workload
     capacity_bytes = (float("inf") if capacity_pages == float("inf")
@@ -215,16 +240,37 @@ def test_pagecache_accounting_matches_reference_lru(workload):
     cache = PageCache(capacity_bytes=capacity_bytes)
     oracle = _ReferenceLru(capacity_pages)
     for op, key, offset, length in ops:
-        missing = cache.missing_bytes(key, offset, length)
-        assert missing == oracle.missing_bytes(key, offset, length)
-        if op == "miss_then_insert":
+        if op == "contains":
+            assert (cache.contains(key, offset, length)
+                    == oracle.contains(key, offset, length))
+        elif op == "invalidate":
+            assert cache.invalidate(key) == oracle.invalidate(key)
+        elif op == "drop":
+            cache.drop()
+            oracle.drop()
+        elif op == "insert":
             cache.insert(key, offset, length)
             oracle.insert(key, offset, length)
+        else:
+            missing = cache.missing_bytes(key, offset, length)
+            assert missing == oracle.missing_bytes(key, offset, length)
+            if op == "miss_then_insert":
+                cache.insert(key, offset, length)
+                oracle.insert(key, offset, length)
         assert cache.resident_pages == len(oracle.pages)
+        assert cache.resident_bytes == len(oracle.pages) * PAGE_SIZE
+        # Probe whole-page spans around the touched key's runs: spans that
+        # end exactly at, or one page past, a run edge.
+        for first in range(18):
+            for npages in (1, 2, 3):
+                span = (key, first * PAGE_SIZE, npages * PAGE_SIZE)
+                assert cache.contains(*span) == oracle.contains(*span)
     assert (cache.hits, cache.misses, cache.evictions) == \
         (oracle.hits, oracle.misses, oracle.evictions)
+    resident = cache.resident()
     if capacity_pages != float("inf"):
         # LRU order is only observable (and only maintained) when bounded.
-        assert list(cache._pages) == list(oracle.pages)
+        assert resident == list(oracle.pages)
     else:
-        assert set(cache._pages) == set(oracle.pages)
+        assert len(resident) == len(set(resident))
+        assert set(resident) == set(oracle.pages)

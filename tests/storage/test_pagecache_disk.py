@@ -106,6 +106,21 @@ def test_inserted_pages_are_resident_until_evicted(ops):
         assert cache.contains(key, page * PAGE_SIZE, PAGE_SIZE)
 
 
+@given(ops=st.lists(st.tuples(st.sampled_from(["a", "b"]),
+                              st.integers(0, 40), st.integers(1, 6)),
+                    min_size=1, max_size=40))
+@settings(max_examples=50)
+def test_unbounded_runs_stay_sorted_disjoint_and_merged(ops):
+    """Every key's runs list is strictly increasing: runs never overlap or
+    touch, so a sequential pass over an object leaves exactly one run."""
+    cache = PageCache()
+    for key, page, npages in ops:
+        cache.insert(key, page * PAGE_SIZE, npages * PAGE_SIZE)
+        runs = cache._runs[key]
+        assert len(runs) % 2 == 0
+        assert all(a < b for a, b in zip(runs, runs[1:]))
+
+
 # ------------------------------------------------------------------------ SSD
 def test_ssd_read_time_is_latency_plus_transfer():
     sim = Simulator()
