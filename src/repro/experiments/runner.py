@@ -23,6 +23,7 @@ Experiments without a fanout simply run serially via their builder.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -42,10 +43,33 @@ def derive_seed(root_seed: int, point: Any) -> int:
 
 
 def _worker(task) -> Any:
-    """Measure one sweep point (runs inside a worker process)."""
+    """Measure one sweep point (runs inside a worker process).
+
+    A finished point's cluster is a graph of reference cycles (every
+    component holds its simulator, every parked process is held by its
+    event), which only the cyclic collector frees.  Collecting here frees
+    it before the next point allocates; no simulation state can observe
+    a collection.
+    """
     name, point, seed, kwargs = task
     spec = registry.get(name)
-    return spec.fanout.run_point(point, seed, dict(kwargs))
+    result = spec.fanout.run_point(point, seed, dict(kwargs))
+    gc.collect()
+    return result
+
+
+def _run_serial(tasks) -> list:
+    """Run the points in this process, in order.
+
+    The heap the sweep starts from (modules, registry, caller state) is
+    frozen for the duration, so each point's collection walks only what
+    the sweep allocated.
+    """
+    gc.freeze()
+    try:
+        return [_worker(task) for task in tasks]
+    finally:
+        gc.unfreeze()
 
 
 def run_experiment(name: str, profile: str = "default", jobs: int = 1,
@@ -67,7 +91,7 @@ def run_experiment(name: str, profile: str = "default", jobs: int = 1,
     tasks = [(name, point, derive_seed(seed, point), kwargs)
              for point in points]
     if jobs == 1 or len(tasks) <= 1:
-        outputs = [_worker(task) for task in tasks]
+        outputs = _run_serial(tasks)
     else:
         with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
             outputs = pool.map(_worker, tasks)

@@ -21,7 +21,7 @@ from repro.hdfs.protocol import (
     WritePacket,
 )
 from repro.metrics.accounting import OTHERS
-from repro.net.tcp import VmNetwork
+from repro.net.tcp import ConnectionClosed, VmNetwork
 from repro.sim import Interrupt
 from repro.storage.device import DiskError
 from repro.storage.filesystem import FsError
@@ -127,6 +127,10 @@ class Datanode:
             except Interrupt:
                 # Injected crash: drop the connection where it stood.
                 return
+            except ConnectionClosed:
+                # The client hung up mid-conversation (say, on the first
+                # error response): nobody is left to answer.
+                return
 
     def _handle_read(self, connection, request: OpReadBlock):
         """Stream the requested range as a pipeline of data packets.
@@ -179,25 +183,37 @@ class Datanode:
             yield from downstream_conn.send(
                 self.vm, OpWriteBlock(request.block_name,
                                       request.downstream[1:]))
-        while True:
-            packet = yield from connection.recv(self.vm)
-            if not isinstance(packet, WritePacket):
-                yield from connection.send(
-                    self.vm, ErrorResponse(f"expected packet, got {packet!r}"))
-                return
+        try:
+            while True:
+                packet = yield from connection.recv(self.vm)
+                if not isinstance(packet, WritePacket):
+                    if downstream_conn is not None:
+                        downstream_conn.close()
+                    yield from connection.send(
+                        self.vm,
+                        ErrorResponse(f"expected packet, got {packet!r}"))
+                    return
+                if downstream_conn is not None:
+                    yield from downstream_conn.send(
+                        self.vm, packet, copy_category=OTHERS)
+                if packet.payload.size > 0:
+                    yield from self.vm.vcpu.run(
+                        costs.hdfs_checksum_cycles_per_byte
+                        * packet.payload.size, OTHERS)
+                    yield from self.vm.write_file(path, packet.payload,
+                                                  copy_category=OTHERS)
+                if packet.last:
+                    break
+        except (GeneratorExit, ConnectionClosed):
+            # The upstream hung up, or closed this connection while we
+            # waited for the next packet (which retires this handler):
+            # hang up on the downstream too.
             if downstream_conn is not None:
-                yield from downstream_conn.send(
-                    self.vm, packet, copy_category=OTHERS)
-            if packet.payload.size > 0:
-                yield from self.vm.vcpu.run(
-                    costs.hdfs_checksum_cycles_per_byte * packet.payload.size,
-                    OTHERS)
-                yield from self.vm.write_file(path, packet.payload,
-                                              copy_category=OTHERS)
-            if packet.last:
-                break
+                downstream_conn.close()
+            raise
         if downstream_conn is not None:
             ack = yield from downstream_conn.recv(self.vm)
+            downstream_conn.close()
             if not (isinstance(ack, Ack) and ack.ok):
                 yield from connection.send(
                     self.vm, ErrorResponse("downstream pipeline failed"))

@@ -47,6 +47,10 @@ def payload_size(payload: Any, explicit: Optional[int] = None) -> int:
     return 128
 
 
+class ConnectionClosed(SimulationError):
+    """``send`` or ``recv`` on a connection that has been closed."""
+
+
 class _Message:
     __slots__ = ("payload", "size")
 
@@ -82,7 +86,7 @@ class _Direction:
         # Bounded receive buffer: an unread backlog eventually blocks the
         # sender (TCP flow control).
         self.rx = Store(network.sim, capacity=inflight_messages)
-        network.sim.process(self._pipe())
+        self.pipe = network.sim.process(self._pipe())
 
     def _pipe(self):
         """Move messages through vhost/LAN, preserving FIFO order."""
@@ -133,6 +137,8 @@ class TcpConnection:
             vm_b.name: _Direction(network, vm_b, vm_a, inflight_messages),
         }
         self.closed = False
+        #: Sends that have not yet handed their message to the tx store.
+        self._sending = 0
 
     def _direction_from(self, vm) -> _Direction:
         try:
@@ -159,18 +165,23 @@ class TcpConnection:
         ``stack_category`` (both on the sender vCPU).
         """
         if self.closed:
-            raise SimulationError("connection is closed")
+            raise ConnectionClosed("connection is closed")
         direction = self._direction_from(vm)
         costs = self.network.costs
         nbytes = payload_size(payload, size)
         segments = costs.segments(nbytes)
         stack_cycles = (costs.syscall_cycles
                         + costs.tcp_tx_segment_cycles * segments)
+        # An interrupted send never decrements, so close() will only
+        # flag its connection, never tear it down.
+        self._sending += 1
         yield from vm.vcpu.run(stack_cycles, stack_category)
         copy_cycles = costs.tcp_copy_cycles_per_byte * nbytes
         if copy_cycles:
             yield from vm.vcpu.run(copy_cycles, copy_category)
-        yield direction.tx.put(_Message(payload, nbytes))
+        accepted = direction.tx.put(_Message(payload, nbytes))
+        self._sending -= 1
+        yield accepted
 
     def recv(self, vm, copy_category: str = OTHERS,
              stack_category: str = OTHERS):
@@ -180,7 +191,7 @@ class TcpConnection:
         ``copy_category`` on the receiver vCPU.
         """
         if self.closed:
-            raise SimulationError("connection is closed")
+            raise ConnectionClosed("connection is closed")
         peer = self.peer_of(vm)
         direction = self._directions[peer.name]
         message = yield direction.rx.get()
@@ -195,7 +206,42 @@ class TcpConnection:
         return message.payload
 
     def close(self) -> None:
+        """Close the connection: later ``send``/``recv`` raise ConnectionClosed.
+
+        A connection closed idle is also torn down, so its processes and
+        buffers can be freed.  Idle means: no message is buffered or being
+        sent, both pipes wait for their next message, the server's handler
+        waits in ``recv`` for the next request, and no other process waits
+        on either end.  Then nothing can ever move on the connection
+        again, so the two pipes and the handler are retired (see
+        :meth:`~repro.sim.process.Process.retire`): no event is scheduled
+        and ``is_alive`` turns False.  A connection closed in any other
+        state is only marked closed: whatever is in flight still moves,
+        and a peer that goes on to ``send`` or ``recv`` gets
+        :class:`ConnectionClosed` (a datanode handler then ends the
+        conversation).
+        """
         self.closed = True
+        if self._idle():
+            for direction in self._directions.values():
+                direction.tx.retire_getters()
+            self._directions[self.vm_a.name].rx.retire_getters()
+
+    def _idle(self) -> bool:
+        """True when only the pipes and the server's handler are parked."""
+        if self._sending:
+            return False
+        for direction in self._directions.values():
+            for store in (direction.tx, direction.rx):
+                if store.items or store._putters:
+                    return False
+            if direction.tx.parked_getters() != [direction.pipe]:
+                return False
+        if self._directions[self.vm_b.name].rx.parked_getters():
+            return False
+        handlers = self._directions[self.vm_a.name].rx.parked_getters()
+        return (len(handlers) == 1 and handlers[0] is not None
+                and not handlers[0].callbacks)
 
     def __repr__(self) -> str:
         return f"<TcpConnection {self.vm_a.name}<->{self.vm_b.name}>"

@@ -67,6 +67,34 @@ class Process(Event):
         interrupt_event.callbacks.append(self._resume)
         self.sim._enqueue(0.0, interrupt_event)
 
+    def retire(self) -> None:
+        """Finish a process parked on an event that can never fire.
+
+        Detaches the process from the event it waits on, closes its
+        generator now (rather than whenever the garbage collector gets to
+        it) and marks it finished with value ``None`` without firing
+        anything: ``is_alive`` turns False and nothing is scheduled.  Only
+        a process that nobody waits on may be retired, and closing the
+        generator must not schedule an event (say, by releasing a
+        resource in a ``finally``); either raises :class:`SimulationError`.
+        """
+        target = self._target
+        if self.triggered or target is None or target.callbacks is None:
+            raise SimulationError(f"cannot retire {self!r}: not parked")
+        if self.callbacks:
+            raise SimulationError(f"cannot retire {self!r}: it is awaited")
+        sim = self.sim
+        seq = sim._seq
+        target.callbacks.remove(self._resume)
+        self._target = None
+        self._relay = None
+        self._value = None
+        self.callbacks = None
+        self._generator.close()
+        if sim._seq != seq:
+            raise SimulationError(
+                f"retiring {self!r} scheduled {sim._seq - seq} event(s)")
+
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
         # If we were interrupted while waiting on another event, detach from

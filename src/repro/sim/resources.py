@@ -12,6 +12,7 @@ from heapq import heapify, heappop, heappush
 from typing import Any, Deque, Iterable, List, Optional
 
 from repro.sim.events import Event, SimulationError
+from repro.sim.process import Process
 
 
 class Request(Event):
@@ -270,6 +271,38 @@ class Store:
             self.items.append(pending)
             putter.succeed(None)
         return item
+
+    def parked_getters(self) -> List[Optional[Process]]:
+        """The process parked on each queued get, oldest first.
+
+        An entry is ``None`` when that get is awaited by anything other
+        than exactly one process blocked on it (a condition, a callback,
+        an interrupted waiter's orphaned event).
+        """
+        parked = []
+        for event in self._getters:
+            callbacks = event.callbacks
+            process = (getattr(callbacks[0], "__self__", None)
+                       if callbacks and len(callbacks) == 1 else None)
+            if not (isinstance(process, Process)
+                    and process._target is event):
+                process = None
+            parked.append(process)
+        return parked
+
+    def retire_getters(self) -> None:
+        """Retire every process parked on a get (see :meth:`Process.retire`).
+
+        For a store no item can ever reach again.  Raises
+        :class:`SimulationError` unless every queued get has exactly one
+        parked process; nothing is scheduled.
+        """
+        parked = self.parked_getters()
+        if None in parked:
+            raise SimulationError(f"{self!r} has a get with no parked process")
+        self._getters = deque()
+        for process in parked:
+            process.retire()
 
     def prune_cancelled(self) -> int:
         """Drop queued getters/putters whose waiter was interrupted.

@@ -284,3 +284,62 @@ def test_process_is_alive_flag():
     assert process.is_alive
     sim.run()
     assert not process.is_alive
+
+
+# ----------------------------------------------------------------- retire
+def test_retire_finishes_parked_process_without_scheduling():
+    sim = Simulator()
+    closed = []
+
+    def parked():
+        try:
+            yield sim.event()
+        finally:
+            closed.append(sim.now)
+
+    proc = sim.process(parked())
+    sim.run()
+    seq = sim._seq
+    proc.retire()
+    assert sim._seq == seq
+    assert not proc.is_alive and proc.value is None
+    assert closed == [0.0]  # the generator is closed now, not at GC time
+
+    def waiter():
+        return (yield proc)
+
+    assert sim.run_until_complete(sim.process(waiter())) is None
+
+
+def test_retire_refuses_awaited_or_unparked_processes():
+    sim = Simulator()
+
+    def parked():
+        yield sim.event()
+
+    def waiter(target):
+        yield target
+
+    fresh = sim.process(parked())
+    with pytest.raises(SimulationError, match="not parked"):
+        fresh.retire()
+    awaited = sim.process(parked())
+    sim.process(waiter(awaited))
+    sim.run()
+    with pytest.raises(SimulationError, match="awaited"):
+        awaited.retire()
+
+
+def test_retire_raises_when_closing_schedules_an_event():
+    sim = Simulator()
+
+    def parked():
+        try:
+            yield sim.event()
+        finally:
+            sim.timeout(1.0)
+
+    proc = sim.process(parked())
+    sim.run()
+    with pytest.raises(SimulationError, match="scheduled 1 event"):
+        proc.retire()

@@ -232,6 +232,32 @@ def test_store_invalid_capacity():
         Store(sim, capacity=0)
 
 
+def test_store_retire_getters_retires_parked_processes():
+    sim = Simulator()
+    store = Store(sim)
+
+    def getter():
+        yield store.get()
+
+    procs = [sim.process(getter()) for _ in range(2)]
+    sim.run()
+    assert store.parked_getters() == procs
+    seq = sim._seq
+    store.retire_getters()
+    assert sim._seq == seq
+    assert store.parked_getters() == []
+    assert not any(proc.is_alive for proc in procs)
+
+
+def test_store_retire_getters_refuses_non_process_waiters():
+    sim = Simulator()
+    store = Store(sim)
+    store.get().callbacks.append(lambda event: None)
+    assert store.parked_getters() == [None]
+    with pytest.raises(SimulationError, match="no parked process"):
+        store.retire_getters()
+
+
 # ---------------------------------------------------------------- Container
 def test_container_put_get_levels():
     sim = Simulator()
