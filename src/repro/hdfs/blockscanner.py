@@ -12,12 +12,11 @@ covers.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List, Optional
 
 from repro.hdfs.datanode import Datanode
 from repro.metrics.accounting import OTHERS
-from repro.storage.filesystem import FsError
+from repro.storage.filesystem import FsError, InodeRangeSource
 
 
 class BlockScanner:
@@ -42,10 +41,11 @@ class BlockScanner:
         if event == "commit":
             path = self.datanode.block_path(block.name)
             try:
-                data = self.datanode.vm.guest_fs.read(path)
+                block_file = InodeRangeSource(
+                    self.datanode.vm.guest_fs.lookup(path))
             except FsError:
                 return
-            self._expected[block.name] = hashlib.sha256(data).hexdigest()
+            self._expected[block.name] = block_file.checksum()
         elif event == "delete":
             self._expected.pop(block.name, None)
 
@@ -81,9 +81,7 @@ class BlockScanner:
                 continue
             yield from vm.vcpu.run(
                 self.verify_cycles_per_byte * source.size, OTHERS)
-            actual = hashlib.sha256(
-                source.read(0, source.size)).hexdigest()
-            if actual != expected:
+            if source.checksum() != expected:
                 self._report_corrupt(block_name, "checksum mismatch")
         self.scans += 1
 

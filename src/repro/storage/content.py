@@ -15,8 +15,11 @@ Two access styles exist on every source:
 
 ``readinto`` is the zero-copy data plane: a 64 MB block moves through the
 host Python process with one buffer allocation instead of a
-join-and-reslice per hop, and :meth:`ByteSource.checksum` streams through a
-single reusable buffer (the incremental checksum).  The *simulated* copy
+join-and-reslice per hop.  :meth:`ByteSource.checksum` resolves a view
+(a slice, a concat of pieces, an inode range) through
+:meth:`ByteSource._window` to the one leaf source it covers, when it
+covers a whole leaf, and returns that leaf's memoized digest; only other
+shapes stream through a single reusable buffer.  The *simulated* copy
 costs are untouched — they are the paper's subject; this is purely about
 the wall-clock of the simulator process.
 
@@ -29,6 +32,7 @@ speedup honestly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from typing import Union
@@ -103,34 +107,24 @@ class ByteSource:
             raise ValueError(f"negative offset/length ({offset}, {length})")
         return max(0, min(length, self.size - offset))
 
-    # ------------------------------------------------------- view coalescing
-    def _view_key(self):
-        """``(backing store, absolute offset)`` when this source is a
-        contiguous window into another store, else ``None``.
+    def _window(self, offset: int, size: int):
+        """``(leaf, leaf_offset)`` when bytes [offset, offset+size) are one
+        contiguous window of a single leaf source, else ``None``.
 
-        View sources resolve transitively, so a slice of a slice of an
-        inode range all map to the same backing store.
-        :class:`ConcatSource` uses this to recognise a run of adjacent
-        windows (e.g. the per-chunk slices a vRead daemon streams through
-        the ring) as one region of the backing store, so a checksum over
-        the concat can reuse the backing store's memoized digest instead
-        of regenerating every byte.
+        A leaf holds or generates its own bytes, so it is its own window;
+        view sources override this to resolve through what they view.
         """
-        return None
-
-    def _make_range(self, offset: int, size: int) -> "ByteSource":
-        """A source covering ``size`` bytes of this store at ``offset``
-        (coalescing support; backing stores implement this)."""
-        if offset == 0 and size == self.size:
-            return self
-        return SliceSource(self, offset, size)
+        return self, offset
 
     def checksum(self, chunk: int = _CHUNK) -> str:
         """SHA-256 of the whole content (streamed; safe for lazy sources).
 
-        The fast plane streams through one reusable buffer (an incremental
-        checksum: no per-chunk bytes objects); results are memoized because
-        sources are immutable.
+        A view whose bytes are exactly one whole leaf (a block read back
+        piece by piece, or spliced from several replicas' block files)
+        returns that leaf's memoized digest — the HDFS stored-checksum
+        analogue.  Any other content streams through one reusable buffer
+        (an incremental checksum: no per-chunk bytes objects), and the
+        result is memoized because sources are immutable.
         """
         digest = hashlib.sha256()
         if _legacy_buffers:
@@ -142,6 +136,12 @@ class ByteSource:
             return digest.hexdigest()
         if self._checksum_hex is not None:
             return self._checksum_hex
+        window = self._window(0, self.size)
+        if window is not None:
+            leaf, leaf_offset = window
+            if leaf is not self and leaf_offset == 0 \
+                    and leaf.size == self.size:
+                return leaf.checksum(chunk)
         buf = bytearray(min(chunk, max(1, self.size)))
         view = memoryview(buf)
         offset = 0
@@ -180,66 +180,24 @@ class PatternSource(ByteSource):
 
     The byte at absolute position ``i`` depends only on ``(seed, i)``, so any
     sub-range can be generated independently: block ``i`` of 32 bytes is
-    SHA-256(seed, i).
+    SHA-256(seed, i).  Reads synthesize exactly the requested range; the
+    whole content is never held in memory.
 
-    Synthesis is pure sha256, which dominates the wall-clock of any
-    workload that streams the same payload more than once (a write pass
-    plus checksum-verified read passes).  Sources up to
-    ``_MATERIALIZE_CAP`` therefore materialize their content once on
-    first fast-plane access and serve every later range as a memcpy; the
-    buffer is shared across instances through a per-process cache keyed
-    by ``(seed, size)`` (two sweep points with the same payload spec
-    synthesize once).  Content is identical either way — the cache holds
-    exactly the bytes the streaming synthesis produces — and the legacy
-    plane (``REPRO_LEGACY_BUFFERS``) never materializes, so the PR 3
-    equivalence harness keeps proving byte-identity.  Larger sources keep
-    the original promise: any range on demand, never the whole file.
+    :meth:`checksum` streams the synthesis through :func:`_pattern_digest`,
+    a pure function of ``(seed, size)`` memoized as 64-character digests,
+    so payloads with equal specs (several writers, several sweep points)
+    synthesize once for verification.
     """
 
     _BLOCK = 32  # sha256 digest size
 
-    #: Sources at or under this size serve reads from materialized bytes.
-    _MATERIALIZE_CAP = 32 << 20
-
-    #: Per-process cache budget for shared materialized content.
-    _CACHE_BUDGET = 256 << 20
-
-    _cache: "dict" = {}          # (seed, size) -> memoryview, insertion-ordered
-    _cache_bytes = 0
-
     def __init__(self, size: int, seed: int = 0):
         super().__init__(size)
         self.seed = seed
-        self._prefix = f"pattern:{seed}:".encode()
-        self._data = None
+        self._prefix = _pattern_prefix(seed)
 
     def _block(self, index: int) -> bytes:
         return hashlib.sha256(self._prefix + b"%d" % index).digest()
-
-    def _materialize(self) -> memoryview:
-        """Full content as one shared read-only view (synthesized once)."""
-        data = self._data
-        if data is not None:
-            return data
-        cls = PatternSource
-        key = (self.seed, self.size)
-        data = cls._cache.get(key)
-        if data is None:
-            # Synthesize straight into the one buffer a chunk at a time (no
-            # per-block digest list for the whole source), then publish it
-            # through a read-only view instead of copying it into bytes.
-            buf = bytearray(self.size)
-            view = memoryview(buf)
-            for start in range(0, self.size, _CHUNK):
-                self._synthesize(start, view[start:start + _CHUNK])
-            data = view.toreadonly()
-            cls._cache[key] = data
-            cls._cache_bytes += len(data)
-            while cls._cache_bytes > cls._CACHE_BUDGET and len(cls._cache) > 1:
-                oldest = next(iter(cls._cache))
-                cls._cache_bytes -= len(cls._cache.pop(oldest))
-        self._data = data
-        return data
 
     def read(self, offset: int, length: int) -> bytes:
         n = self._clamp(offset, length)
@@ -256,18 +214,11 @@ class PatternSource(ByteSource):
         return bytes(buf)
 
     def readinto(self, offset: int, buf) -> int:
+        """Generate bytes at [offset, offset+len(buf)) into ``buf``."""
         view = memoryview(buf)
         n = self._clamp(offset, len(view))
         if n == 0:
             return 0
-        if not _legacy_buffers and self.size <= self._MATERIALIZE_CAP:
-            view[:n] = self._materialize()[offset:offset + n]
-            return n
-        return self._synthesize(offset, view[:n])
-
-    def _synthesize(self, offset: int, view) -> int:
-        """Generate bytes at [offset, offset+len(view)) into ``view``."""
-        n = len(view)
         sha = hashlib.sha256
         prefix = self._prefix
         block_size = self._BLOCK
@@ -285,9 +236,7 @@ class PatternSource(ByteSource):
         if whole:
             # Bulk of the range: C-speed join of whole digests, one copy.
             end = pos + whole * block_size
-            view[pos:end] = b"".join(
-                sha(prefix + b"%d" % i).digest()
-                for i in range(index, index + whole))
+            view[pos:end] = _pattern_blocks(prefix, index, index + whole)
             pos = end
             index += whole
         if pos < n:
@@ -296,30 +245,39 @@ class PatternSource(ByteSource):
         return n
 
     def checksum(self, chunk: int = _CHUNK) -> str:
-        """Stream digests straight into the checksum (no staging buffer)."""
         if _legacy_buffers:
             return super().checksum(chunk)
-        if self._checksum_hex is not None:
-            return self._checksum_hex
-        if self.size <= self._MATERIALIZE_CAP:
-            digest = hashlib.sha256(self._materialize())
-            self._checksum_hex = digest.hexdigest()
-            return self._checksum_hex
-        digest = hashlib.sha256()
-        sha = hashlib.sha256
-        prefix = self._prefix
-        blocks_per_chunk = max(1, chunk // self._BLOCK)
-        full_blocks = self.size // self._BLOCK
-        for start in range(0, full_blocks, blocks_per_chunk):
-            stop = min(start + blocks_per_chunk, full_blocks)
-            digest.update(b"".join(sha(prefix + b"%d" % i).digest()
-                                   for i in range(start, stop)))
-        remainder = self.size - full_blocks * self._BLOCK
-        if remainder:
-            digest.update(
-                sha(prefix + b"%d" % full_blocks).digest()[:remainder])
-        self._checksum_hex = digest.hexdigest()
-        return self._checksum_hex
+        return _pattern_digest(self.seed, self.size)
+
+
+def _pattern_prefix(seed: int) -> bytes:
+    return f"pattern:{seed}:".encode()
+
+
+def _pattern_blocks(prefix: bytes, start: int, stop: int) -> bytes:
+    """Pattern blocks ``start`` to ``stop - 1``, joined."""
+    sha = hashlib.sha256
+    return b"".join(sha(prefix + b"%d" % i).digest()
+                    for i in range(start, stop))
+
+
+@functools.lru_cache(maxsize=256)
+def _pattern_digest(seed: int, size: int) -> str:
+    """SHA-256 hex of ``PatternSource(size, seed)``'s content, streamed
+    one chunk of blocks at a time."""
+    prefix = _pattern_prefix(seed)
+    block_size = PatternSource._BLOCK
+    digest = hashlib.sha256()
+    full_blocks = size // block_size
+    per_chunk = _CHUNK // block_size
+    for start in range(0, full_blocks, per_chunk):
+        digest.update(_pattern_blocks(
+            prefix, start, min(start + per_chunk, full_blocks)))
+    remainder = size - full_blocks * block_size
+    if remainder:
+        digest.update(_pattern_blocks(
+            prefix, full_blocks, full_blocks + 1)[:remainder])
+    return digest.hexdigest()
 
 
 class ZeroSource(ByteSource):
@@ -395,39 +353,38 @@ class ConcatSource(ByteSource):
             pos += part_size
         return n
 
-    def _coalesced(self):
-        """The parts merged into one window when they are adjacent views
-        of the same backing store (``None`` otherwise)."""
-        first = self._parts[0]
-        key = first._view_key()
-        if key is None:
-            return None
-        backing, start = key
-        cursor = start + first.size
-        for part in self._parts[1:]:
-            part_key = part._view_key()
-            if part_key is None or part_key[0] is not backing \
-                    or part_key[1] != cursor:
-                return None
-            cursor += part.size
-        return backing._make_range(start, self.size)
+    def _window(self, offset: int, size: int):
+        return parts_window(self._parts, offset, size)
 
-    def checksum(self, chunk: int = _CHUNK) -> str:
-        # A single-part concat has the part's exact content; reuse (and
-        # populate) that source's memoized digest.  Multi-part concats of
-        # adjacent windows (a block streamed chunk-by-chunk through a ring)
-        # coalesce back into one window of the backing store first.
-        if not _legacy_buffers:
-            if self._checksum_hex is not None:
-                return self._checksum_hex
-            if len(self._parts) == 1:
-                self._checksum_hex = self._parts[0].checksum(chunk)
-                return self._checksum_hex
-            merged = self._coalesced() if self._parts else None
-            if merged is not None:
-                self._checksum_hex = merged.checksum(chunk)
-                return self._checksum_hex
-        return super().checksum(chunk)
+
+def parts_window(parts, offset: int, size: int):
+    """:meth:`ByteSource._window` over the concatenation of ``parts``.
+
+    Every part overlapping [offset, offset+size) must resolve to the same
+    leaf, each at the leaf offset where the previous one ended.
+    """
+    end = offset + size
+    found = None
+    pos = 0
+    for part in parts:
+        part_end = pos + part.size
+        if part_end > offset:
+            inner = max(0, offset - pos)
+            take = min(end, part_end) - pos - inner
+            window = part._window(inner, take)
+            if window is None:
+                return None
+            if found is None:
+                found = window
+                cursor = window[1] + take
+            elif window[0] is not found[0] or window[1] != cursor:
+                return None
+            else:
+                cursor += take
+        pos = part_end
+        if pos >= end:
+            return found
+    return None
 
 
 class SliceSource(ByteSource):
@@ -449,16 +406,5 @@ class SliceSource(ByteSource):
         n = self._clamp(offset, len(view))
         return self._base.readinto(self._offset + offset, view[:n])
 
-    def checksum(self, chunk: int = _CHUNK) -> str:
-        # A whole-source window has the base's exact content.
-        if self._offset == 0 and self.size == self._base.size \
-                and not _legacy_buffers:
-            return self._base.checksum(chunk)
-        return super().checksum(chunk)
-
-    def _view_key(self):
-        base_key = self._base._view_key()
-        if base_key is not None:
-            backing, base_offset = base_key
-            return (backing, base_offset + self._offset)
-        return (self._base, self._offset)
+    def _window(self, offset: int, size: int):
+        return self._base._window(self._offset + offset, size)

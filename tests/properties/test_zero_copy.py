@@ -7,7 +7,11 @@ context manager) keeps the original implementation alive as a reference:
 these tests drive both planes with randomized source shapes and random
 offset/length windows — including page- and pattern-block-aligned
 boundaries — and require byte-for-byte and digest-for-digest agreement.
+Random trees of slice, concat and inode-range views also check the view
+resolver (``ByteSource._window``) against the byte provenance of each view.
 """
+
+import hashlib
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,6 +153,153 @@ def test_inode_range_source_window_reads(case):
         return
     view = InodeRangeSource(inode, offset, inode.size - offset)
     assert view.read(0, length) == inode.read(offset, n)
+
+
+# ---------------------------------------------------------- view resolver
+def _merge(segments):
+    """Coalesce ``(leaf, start, length)`` runs that continue one another."""
+    merged = []
+    for leaf, start, length in segments:
+        if merged and merged[-1][0] is leaf \
+                and merged[-1][1] + merged[-1][2] == start:
+            merged[-1] = (leaf, merged[-1][1], merged[-1][2] + length)
+        else:
+            merged.append((leaf, start, length))
+    return merged
+
+
+def _cut(segments, offset, size):
+    """The runs covering bytes [offset, offset+size) of ``segments``."""
+    out = []
+    pos = 0
+    for leaf, start, length in segments:
+        lo = max(offset, pos)
+        hi = min(offset + size, pos + length)
+        if lo < hi:
+            out.append((leaf, start + lo - pos, hi - lo))
+        pos += length
+    return _merge(out)
+
+
+def _range(draw, size):
+    """A non-empty ``(offset, size)`` range of ``size`` bytes; half the
+    time all of them."""
+    if draw(st.booleans()):
+        return 0, size
+    offset = draw(st.integers(0, size - 1))
+    return offset, draw(st.integers(1, size - offset))
+
+
+def _view_tree(draw, leaves, depth):
+    """A random view over ``leaves`` plus its byte provenance: the merged
+    ``(leaf, leaf_offset, length)`` runs its bytes come from."""
+    kinds = ["leaf"] if depth == 0 else \
+        ["leaf", "slice", "pieces", "concat", "inode"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "leaf":
+        leaf = draw(st.sampled_from(leaves))
+        return leaf, [(leaf, 0, leaf.size)]
+    if kind == "concat":
+        # Nested concats of independent subtrees: windows span leaves.
+        children = [_view_tree(draw, leaves, depth - 1)
+                    for _ in range(draw(st.integers(1, 3)))]
+        return (ConcatSource([child for child, _ in children]),
+                _merge([run for _, runs in children for run in runs]))
+    base, runs = _view_tree(draw, leaves, depth - 1)
+    if kind == "slice":
+        offset, size = _range(draw, base.size)
+        return SliceSource(base, offset, size), _cut(runs, offset, size)
+    # Adjacent slices of one subtree (a read streamed chunk by chunk, or
+    # a block file written packet by packet), sometimes with a piece
+    # dropped or two swapped so the pieces stop being adjacent.
+    cuts = sorted(set(draw(st.lists(
+        st.integers(1, max(1, base.size - 1)), max_size=4))) - {base.size})
+    bounds = [0] + cuts + [base.size]
+    pieces = [(bounds[i], bounds[i + 1] - bounds[i])
+              for i in range(len(bounds) - 1)]
+    shuffle = draw(st.sampled_from(["adjacent", "drop", "swap"]))
+    if shuffle == "drop" and len(pieces) > 1:
+        del pieces[draw(st.integers(0, len(pieces) - 1))]
+    elif shuffle == "swap" and len(pieces) > 1:
+        i = draw(st.integers(0, len(pieces) - 2))
+        pieces[i], pieces[i + 1] = pieces[i + 1], pieces[i]
+    # A piece may come from another leaf of the same size instead.  The
+    # two PatternSources are twins with equal content: bytes match, but a
+    # window never continues from one leaf into another.
+    other = draw(st.sampled_from(leaves))
+    parts = []
+    piece_runs = []
+    for offset, size in pieces:
+        source, source_runs = base, runs
+        if other.size == base.size and draw(st.booleans()):
+            source, source_runs = other, [(other, 0, other.size)]
+        parts.append(SliceSource(source, offset, size))
+        piece_runs.extend(_cut(source_runs, offset, size))
+    runs = _merge(piece_runs)
+    if kind == "pieces":
+        return ConcatSource(parts), runs
+    inode = Inode("file")
+    for part in parts:
+        inode.append(part)
+    offset, size = _range(draw, inode.size)
+    view = InodeRangeSource(inode, offset, size)
+    if draw(st.booleans()):
+        # Appends after the view was made must not change what it covers.
+        inode.append(draw(st.sampled_from(leaves)))
+    return view, _cut(runs, offset, size)
+
+
+@st.composite
+def view_tree(draw):
+    seed = draw(st.integers(min_value=0, max_value=2 ** 16))
+    sizes = [draw(st.integers(min_value=1, max_value=2 * PAGE_SIZE + 33))
+             for _ in range(3)]
+    leaves = [
+        PatternSource(sizes[0], seed=seed),
+        PatternSource(sizes[0], seed=seed),
+        LiteralSource(bytes((seed + i * 7) % 256 for i in range(sizes[1]))),
+        ZeroSource(sizes[2]),
+    ]
+    return _view_tree(draw, leaves, draw(st.integers(1, 3)))
+
+
+def _expected_window(runs):
+    return (runs[0][0], runs[0][1]) if len(runs) == 1 else None
+
+
+def _same_window(got, expected):
+    if got is None or expected is None:
+        return got is expected
+    return got[0] is expected[0] and got[1] == expected[1]
+
+
+@given(tree=view_tree(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_window_resolves_exactly_the_single_leaf_windows(tree, data):
+    """``_window`` names a leaf exactly when the bytes are one contiguous
+    window of it, for the whole view and for random sub-windows."""
+    source, runs = tree
+    assert sum(length for _, _, length in runs) == source.size
+    assert _same_window(source._window(0, source.size),
+                        _expected_window(runs))
+    offset = data.draw(st.integers(0, source.size - 1))
+    size = data.draw(st.integers(1, source.size - offset))
+    assert _same_window(source._window(offset, size),
+                        _expected_window(_cut(runs, offset, size)))
+
+
+@given(tree=view_tree())
+@settings(max_examples=150, deadline=None)
+def test_resolved_checksum_equals_streamed_content(tree):
+    """The fast checksum (resolved to a leaf's digest or streamed) equals
+    the legacy plane's and the digest of the bytes actually read."""
+    source, _ = tree
+    fast = source.checksum()
+    with legacy_buffers():
+        legacy = source.checksum()
+    assert fast == legacy
+    assert fast == hashlib.sha256(source.read(0, source.size)).hexdigest()
+    assert source.checksum() == legacy  # memo stays right
 
 
 # --------------------------------------------------------------- page cache
