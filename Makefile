@@ -1,6 +1,6 @@
 # Convenience targets for the vRead reproduction.
 
-.PHONY: install test lint analyze chaos bench bench-quick bench-pr5 bench-pr5-quick bench-kernel bench-kernel-quick load-smoke load-bench storage-smoke storage-bench churn-smoke churn-bench profile bench-tables report paper-report quick-report demo clean
+.PHONY: install test lint analyze chaos bench bench-quick bench-pr5 bench-pr5-quick load-smoke load-bench storage-smoke storage-bench churn-smoke churn-bench profile bench-tables report paper-report quick-report demo clean
 
 install:
 	python setup.py develop
@@ -33,15 +33,6 @@ bench-pr5:
 
 bench-pr5-quick:
 	PYTHONPATH=src python benchmarks/perf/bench_pr5.py --quick --out BENCH_pr5.json
-
-# Timer-wheel kernel + epoch-coalescing harness: storms wheel-vs-heap,
-# experiments all-fast vs the full reference configuration, and a
-# contended rack point (see docs/performance.md).
-bench-kernel:
-	PYTHONPATH=src python benchmarks/perf/bench_pr10.py --out BENCH_pr10.json
-
-bench-kernel-quick:
-	PYTHONPATH=src python benchmarks/perf/bench_pr10.py --quick --out BENCH_pr10.json
 
 # Open-loop load harness: RSS-flatness + jobs-N determinism gates
 # (see docs/load.md); load-smoke is the CI profile.

@@ -141,8 +141,8 @@ def _run_tracer_bench(n_records, mode):
 #: measured on the reference host, so jitter never trips them but a
 #: silently-disabled fast path does.  scale-racks is deliberately
 #: ungated here: it is content-synthesis-bound, so the slices toggle
-#: alone cannot move it (bench_pr10 gates it against the full reference
-#: configuration instead).
+#: alone cannot move it (tests/experiments/test_quick_digests.py checks
+#: its fast-vs-reference byte identity instead).
 SPEEDUP_FLOORS = {
     "fig03_fast_vs_legacy": 1.1,
     "tracer_guarded_vs_filtered": 1.5,

@@ -7,11 +7,9 @@ Commands:
   one experiment (or ``all``) and print its paper-style table(s).
   ``--jobs`` fans sweep-shaped experiments out over worker processes;
   parallel and serial runs produce byte-identical results.
-* ``profile <name> [--quick|--paper] [--memory] [--kernel] [--json OUT]``
-  — run one experiment under the profiling harness (cProfile + kernel
-  counters; see :mod:`repro.perf`) and print the hot functions and
-  events/sec summary.  ``--kernel`` adds the fast-path breakdown (wheel
-  cascades/overflow promotions, epoch commits vs demotions).
+* ``profile <name> [--quick|--paper] [--memory] [--json OUT]`` — run one
+  experiment under the profiling harness (cProfile + kernel counters; see
+  :mod:`repro.perf`) and print the hot functions and events/sec summary.
 * ``demo`` — the quickstart: vanilla vs vRead on one file, verified.
 
 The experiment table itself lives in :mod:`repro.experiments.registry`;
@@ -97,7 +95,7 @@ def cmd_profile(args) -> int:
         return 2
     report = profiler.profile_experiment(
         args.experiment, profile=_profile(args), seed=args.seed,
-        top=args.top, memory=args.memory, kernel_breakdown=args.kernel)
+        top=args.top, memory=args.memory)
     print(report.render())
     if args.json:
         profiler.write_json(report, args.json)
@@ -172,10 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser_prof.add_argument("--memory", action="store_true",
                              help="also trace allocations (tracemalloc; "
                                   "slower)")
-    parser_prof.add_argument("--kernel", action="store_true",
-                             help="also break down the kernel fast paths "
-                                  "(wheel cascades/overflow, epoch "
-                                  "commits vs demotions)")
     parser_prof.add_argument("--json", metavar="OUT",
                              help="also write the report as JSON to OUT")
     parser_prof.set_defaults(func=cmd_profile)

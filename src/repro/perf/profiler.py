@@ -40,7 +40,6 @@ class ProfileReport:
         default_factory=list)          # (location, calls, tottime, cumtime)
     peak_traced_mb: Optional[float] = None    # tracemalloc high-water
     trace_top: List[Tuple[str, float]] = field(default_factory=list)
-    epochs: Optional[Dict[str, int]] = None   # epoch_stats() (--kernel only)
 
     @property
     def events_per_second(self) -> float:
@@ -71,7 +70,6 @@ class ProfileReport:
             "tracemalloc_top": [
                 {"where": where, "mb": round(mb, 3)}
                 for where, mb in self.trace_top],
-            "epochs": dict(self.epochs) if self.epochs is not None else None,
         }
 
     def render(self) -> str:
@@ -91,21 +89,6 @@ class ProfileReport:
         ]
         if self.peak_traced_mb is not None:
             lines.append(f"  peak traced heap   {self.peak_traced_mb:10.1f} MB")
-        if self.epochs is not None:
-            e = self.epochs
-            lines += [
-                "",
-                "  kernel breakdown:",
-                f"    wheel advances     {k.get('wheel_advances', 0):10d}"
-                f"   (cascades {k.get('wheel_cascades', 0)})",
-                f"    overflow promoted  {k.get('wheel_overflow', 0):10d}"
-                f"   (max bucket {k.get('wheel_max_bucket', 0)})",
-                f"    epochs formed      {e.get('epochs_formed', 0):10d}"
-                f"   (committed {e.get('epochs_completed', 0)}, "
-                f"demoted {e.get('epochs_demoted', 0)})",
-                f"    epochs rejected    {e.get('epochs_rejected', 0):10d}"
-                f"   (replay records {e.get('epoch_records', 0)})",
-            ]
         lines += ["", "  hottest functions (by internal time):"]
         width = max((len(where) for where, *_ in self.top_functions),
                     default=10)
@@ -129,16 +112,12 @@ def _shorten(path: str) -> str:
 
 def profile_experiment(experiment: str, profile: str = "quick",
                        seed: int = 0, top: int = 15,
-                       memory: bool = False,
-                       kernel_breakdown: bool = False) -> ProfileReport:
+                       memory: bool = False) -> ProfileReport:
     """Run ``experiment`` under cProfile and return a :class:`ProfileReport`.
 
     ``memory=True`` additionally enables tracemalloc (slower: every
     allocation is traced) and reports the peak traced heap plus the
-    largest allocation sites.  ``kernel_breakdown=True`` additionally
-    snapshots the fast-path counters — timer-wheel cascade/overflow
-    activity and epoch-coalescing commits vs demotions — so a regression
-    in either fast path shows up as counter drift, not just wall time.
+    largest allocation sites.
     """
     from repro.experiments import runner
 
@@ -147,10 +126,6 @@ def profile_experiment(experiment: str, profile: str = "quick",
         import tracemalloc as tracemalloc_module
         tracemalloc = tracemalloc_module
         tracemalloc.start()
-    epoch_stats = None
-    if kernel_breakdown:
-        from repro.hostmodel.cpu import epoch_stats, reset_epoch_stats
-        reset_epoch_stats()
     reset_kernel_stats()
     profiler = cProfile.Profile()
     started = time.perf_counter()  # simlint: disable=no-wallclock
@@ -161,7 +136,6 @@ def profile_experiment(experiment: str, profile: str = "quick",
         profiler.disable()
     wall = time.perf_counter() - started  # simlint: disable=no-wallclock
     kernel = kernel_stats()
-    epochs = epoch_stats() if epoch_stats is not None else None
 
     stats = pstats.Stats(profiler, stream=io.StringIO())
     stats.sort_stats("tottime")
@@ -189,8 +163,7 @@ def profile_experiment(experiment: str, profile: str = "quick",
     return ProfileReport(experiment=experiment, profile=profile,
                          wall_seconds=wall, kernel=kernel,
                          top_functions=top_functions,
-                         peak_traced_mb=peak_mb, trace_top=trace_top,
-                         epochs=epochs)
+                         peak_traced_mb=peak_mb, trace_top=trace_top)
 
 
 def write_json(report: ProfileReport, path: str) -> None:

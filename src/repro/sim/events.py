@@ -114,11 +114,7 @@ class Event:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past ({delay})")
         sim._seq += 1
-        wheel = sim._wheel
-        if wheel is None:
-            heappush(sim._heap, (sim._now + delay, sim._seq, self, sim._now))
-        else:
-            wheel.schedule(sim._now + delay, sim._seq, self, sim._now)
+        heappush(sim._heap, (sim._now + delay, sim._seq, self, sim._now))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -181,11 +177,7 @@ class Timeout(Event):
         if sanitizer is not None:
             sanitizer.note_trigger(self)
         sim._seq += 1
-        wheel = sim._wheel
-        if wheel is None:
-            heappush(sim._heap, (sim._now + delay, sim._seq, self, sim._now))
-        else:
-            wheel.schedule(sim._now + delay, sim._seq, self, sim._now)
+        heappush(sim._heap, (sim._now + delay, sim._seq, self, sim._now))
 
     def cancel(self) -> None:
         """Withdraw the timeout before it fires.
@@ -236,11 +228,7 @@ class AbsoluteTimeout(Timeout):
         if sanitizer is not None:
             sanitizer.note_trigger(self)
         sim._seq += 1
-        wheel = sim._wheel
-        if wheel is None:
-            heappush(sim._heap, (when, sim._seq, self, sim._now))
-        else:
-            wheel.schedule(when, sim._seq, self, sim._now)
+        heappush(sim._heap, (when, sim._seq, self, sim._now))
 
 
 class Condition(Event):

@@ -4,14 +4,20 @@ Each digest is the SHA-256 of ``canonical_json`` of
 ``run_experiment(name, profile="quick", jobs=1, seed=0)``.  A change that
 moves any byte of any experiment's output fails here; a change that is
 meant to move one must re-pin it and say why.
+
+The experiments whose time goes to the kernel, the scheduler and the
+content plane are also run on the reference implementations (the sliced
+scheduler and the legacy buffer plane) and must hit the same pins.
 """
 
 import hashlib
 
 import pytest
 
-from repro.experiments import registry
+from repro.experiments import dfsio_sweep, registry
 from repro.experiments.runner import canonical_json, run_experiment
+from repro.hostmodel.cpu import legacy_slices
+from repro.storage.content import legacy_buffers
 
 QUICK_DIGESTS = {
     "fig02": "d8533d343b0f67cbe77fc7057ad3939c3985dc61603723bd63b37351950dffdc",
@@ -48,5 +54,19 @@ def test_every_registry_experiment_is_pinned():
 @pytest.mark.parametrize("name", sorted(QUICK_DIGESTS))
 def test_quick_profile_digest(name):
     result = run_experiment(name, profile="quick", jobs=1, seed=0)
+    digest = hashlib.sha256(canonical_json(result).encode()).hexdigest()
+    assert digest == QUICK_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["fig03", "fig11", "scale-racks"])
+def test_quick_profile_digest_on_reference_paths(name):
+    # The TestDFSIO cell memo would hand back cells measured on the fast
+    # paths; drop it on the way in and out so neither run feeds the other.
+    dfsio_sweep.clear_cache()
+    try:
+        with legacy_slices(), legacy_buffers():
+            result = run_experiment(name, profile="quick", jobs=1, seed=0)
+    finally:
+        dfsio_sweep.clear_cache()
     digest = hashlib.sha256(canonical_json(result).encode()).hexdigest()
     assert digest == QUICK_DIGESTS[name]

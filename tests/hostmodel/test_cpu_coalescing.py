@@ -4,13 +4,15 @@ The exhaustive cross-checking against the per-slice reference lives in
 ``tests/properties/test_slice_equivalence.py``; these tests pin the
 individual mechanisms — whole-burst timers, contender demotion, the
 accounting settle hook, frequency-change re-folding, mutex/core ceremony
-elision, and the sanitize-mode routing back to the reference loop.
+elision, and the sanitize-mode routing back to the reference loop — and
+check that sustained oversubscription, perturbed by probes, a frequency
+change and interrupts, runs identically on both paths.
 """
 
 import pytest
 
 from repro.hostmodel.costs import CostModel
-from repro.hostmodel.cpu import CpuScheduler, legacy_slices
+from repro.hostmodel.cpu import CpuScheduler, epoch_stats, legacy_slices
 from repro.metrics.accounting import CpuAccounting, OTHERS
 from repro.sim import Interrupt, Simulator
 
@@ -208,3 +210,116 @@ def test_fast_and_legacy_agree_on_contended_schedule():
             return sim.now, sorted(finish), sorted(acct.snapshot().items())
 
     assert run(False) == run(True)
+
+
+# ---------------------------------------------------- sustained oversubscription
+# Real switch costs so 'others' charges discriminate schedules; no wake
+# stacking so the contended rotation is deterministic across modes.
+CONTENDED = CostModel().with_overrides(wakeup_stacking_delay_seconds=0.0)
+
+
+def run_batch(fast, n=8, cycles=48e6, cores=4, probe_at=None,
+              freq_dance=None, interrupt_at=None):
+    """n staggered CPU hogs on ``cores`` cores; returns full observables."""
+    with legacy_slices(not fast):
+        sim = Simulator()
+        acct = CpuAccounting()
+        sched = CpuScheduler(sim, cores, 3.2e9, acct, CONTENDED)
+        finish, probes, caught = [], [], []
+        victims = []
+
+        def worker(i):
+            thread = sched.thread(f"t{i}")
+            yield sim.timeout(i * 1e-5)
+            try:
+                yield from thread.run(cycles + i * 1000, "work")
+            except Interrupt:
+                caught.append((f"t{i}", sim.now))
+                return
+            finish.append((f"t{i}", sim.now))
+
+        for i in range(n):
+            victims.append(sim.process(worker(i)))
+        if probe_at is not None:
+            def prober():
+                yield sim.timeout(probe_at)
+                probes.append(sorted(acct.snapshot().items()))
+            sim.process(prober())
+        if freq_dance is not None:
+            def dancer():
+                at, freq = freq_dance
+                yield sim.timeout(at)
+                sched.set_frequency(freq)
+            sim.process(dancer())
+        if interrupt_at is not None:
+            def sniper():
+                at, idx = interrupt_at
+                yield sim.timeout(at)
+                victims[idx].interrupt("contended test")
+            sim.process(sniper())
+        sim.run()
+        return (sim.now, sorted(finish), sorted(caught), probes,
+                sorted(acct.snapshot().items()))
+
+
+@pytest.mark.parametrize("perturbation", [
+    {},
+    # Mid-round accounting reads: the settle hook must fold exactly the
+    # boundaries the reference's per-slice charges had made.
+    {"probe_at": 0.0045},
+    {"probe_at": 0.006},
+    {"probe_at": 0.0101},
+    {"freq_dance": (0.0043, 2.4e9)},
+    {"interrupt_at": (0.0047, 2)},
+    {"interrupt_at": (0.0071, 6)},
+    {"probe_at": 0.006, "freq_dance": (0.0043, 2.4e9),
+     "interrupt_at": (0.0047, 2)},
+], ids=["plain", "probe-4.5ms", "probe-6ms", "probe-10.1ms", "freq-2.4GHz",
+        "interrupt-t2", "interrupt-t6", "probe+freq+interrupt"])
+def test_sustained_oversubscription_fast_equals_sliced(perturbation):
+    # 8 hogs on 4 cores: every burst is demoted and round-robins slice by
+    # slice for most of its life.
+    fast = run_batch(fast=True, **perturbation)
+    assert fast == run_batch(fast=False, **perturbation)
+    now, finish, caught, probes, _ = fast
+    assert len(finish) + len(caught) == 8
+    if "interrupt_at" in perturbation:
+        assert len(caught) == 1
+    if "probe_at" in perturbation:
+        assert probes and probes[0]
+
+
+def test_periodic_hogs_with_probes_fast_equals_sliced():
+    # lookbusy-style duty cycles: run/sleep loops that repeatedly form and
+    # drain the contended round, observed by a mid-flight prober.
+    def run(fast):
+        with legacy_slices(not fast):
+            sim = Simulator()
+            acct = CpuAccounting()
+            sched = CpuScheduler(sim, 2, 3.2e9, acct, CONTENDED)
+            probes = []
+
+            def hog(i):
+                thread = sched.thread(f"hog{i}")
+                for _ in range(12):
+                    yield from thread.run(27.2e6 + i * 640, "spin")
+                    yield sim.timeout(0.0015)
+
+            for i in range(4):
+                sim.process(hog(i))
+
+            def prober():
+                while sim.now < 0.05:
+                    yield sim.timeout(0.0031)
+                    probes.append(sorted(acct.snapshot().items()))
+
+            sim.process(prober())
+            sim.run()
+            return sim.now, probes, sorted(acct.snapshot().items())
+
+    assert run(True) == run(False)
+
+
+def test_epoch_stats_reports_the_keys_perfbench_reads_at_zero():
+    # perfbench derives hostmodel.epoch_commit_ratio from these two keys.
+    assert epoch_stats() == {"epochs_formed": 0, "epochs_completed": 0}

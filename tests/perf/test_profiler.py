@@ -52,30 +52,6 @@ def test_json_roundtrip(fig03_report, tmp_path):
     assert len(data["top_functions"]) == len(fig03_report.top_functions)
 
 
-def test_kernel_breakdown_reports_fast_path_counters():
-    report = profile_experiment("fig03", profile="quick", top=3,
-                                kernel_breakdown=True)
-    assert report.epochs is not None
-    for key in ("epochs_formed", "epochs_completed", "epochs_demoted",
-                "epochs_rejected", "epoch_records"):
-        assert key in report.epochs
-    # fig03 runs uncontended VMs: the wheel spins, epochs never form.
-    assert report.kernel["wheel_advances"] > 0
-    assert report.epochs["epochs_formed"] == 0
-    text = report.render()
-    assert "kernel breakdown" in text
-    assert "wheel advances" in text
-    assert "epochs formed" in text
-
-
-def test_kernel_breakdown_off_by_default(fig03_report, tmp_path):
-    assert fig03_report.epochs is None
-    assert "kernel breakdown" not in fig03_report.render()
-    out = tmp_path / "prof.json"
-    write_json(fig03_report, str(out))
-    assert json.loads(out.read_text())["epochs"] is None
-
-
 def test_memory_mode_reports_traced_heap():
     report = profile_experiment("fig03", profile="quick", top=3, memory=True)
     assert report.peak_traced_mb is not None
